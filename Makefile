@@ -1,5 +1,5 @@
 # Local targets mirror .github/workflows/ci.yml: `make ci` runs the same
-# build, vet, gofmt, staticcheck, race-test, benchmark-smoke, round-workers
+# build, vet, gofmt, staticcheck, race-test, benchmark-smoke, e2ebench toy-run, round-workers
 # and resume/shard/orchestrator smoke steps the workflow does, so a green
 # `make ci` means a green PR (plus `make bench-gate` for the perf
 # trajectory, which CI's bench-trajectory job enforces). (staticcheck is skipped with a warning when
@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt fmt-check staticcheck bench perfbench bench-gate large-n-smoke round-smoke grid-smoke resume-smoke shard-merge-smoke orchestrator-smoke steal-smoke ssh-smoke scenario-smoke serve-smoke obs-smoke ci
+.PHONY: build test vet fmt fmt-check staticcheck bench e2e-smoke perfbench bench-gate large-n-smoke round-smoke grid-smoke resume-smoke shard-merge-smoke orchestrator-smoke steal-smoke ssh-smoke scenario-smoke serve-smoke obs-smoke ci
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,12 @@ staticcheck:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./... | tee /tmp/lbbench-bench-smoke.txt
+
+# The repository benchmark's own toy-size test: every e2ebench workload
+# end to end at seconds scale, plus its metric names against BENCHMARK.json.
+# e2ebench/ is a separate module, so the root `./...` never reaches it.
+e2e-smoke:
+	cd e2ebench && $(GO) test ./...
 
 # Measure the full pinned trajectory grid (the same one CI gates on) into
 # /tmp. This is the slow, honest measurement — run it on a quiet machine.
@@ -297,4 +303,4 @@ obs-smoke:
 # quiet machine to be meaningful (CI's bench-trajectory job runs it on the
 # dedicated runner). Run `make bench-gate` before committing perf-sensitive
 # changes.
-ci: build vet fmt-check staticcheck test bench round-smoke grid-smoke resume-smoke shard-merge-smoke orchestrator-smoke steal-smoke ssh-smoke scenario-smoke serve-smoke obs-smoke
+ci: build vet fmt-check staticcheck test bench e2e-smoke round-smoke grid-smoke resume-smoke shard-merge-smoke orchestrator-smoke steal-smoke ssh-smoke scenario-smoke serve-smoke obs-smoke

@@ -175,6 +175,42 @@ func TestSessionHotLoopZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestSessionHotLoopZeroAllocsDiscrete extends the zero-allocation gate to
+// token loads: discrete Φ is taken straight from the counts, so neither
+// the stepper nor Commit may allocate per round.
+func TestSessionHotLoopZeroAllocsDiscrete(t *testing.T) {
+	for _, algo := range []Algorithm{Diffusion, RandomPartners} {
+		t.Run(algo.String(), func(t *testing.T) {
+			g := graph.Torus(4, 4)
+			cfg := Config{
+				Graph:     g,
+				Algorithm: algo,
+				Mode:      Discrete,
+				Loads:     workload.Continuous(workload.Spike, g.N(), 1e6, rand.New(rand.NewSource(1))),
+				Epsilon:   1e-9,
+				Workers:   1,
+			}
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+
+			avg := testing.AllocsPerRun(100, func() {
+				if err := s.Step(); err != nil {
+					panic(err)
+				}
+				if _, err := s.Commit(); err != nil {
+					panic(err)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("untraced discrete %v Step+Commit allocates %v times per round, want 0", algo, avg)
+			}
+		})
+	}
+}
+
 // TestSessionPhasesAccounting: with Phases attached the same loop fills
 // per-phase wall time that sums over the phases actually exercised.
 func TestSessionPhasesAccounting(t *testing.T) {

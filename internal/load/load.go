@@ -147,9 +147,11 @@ func (d *Discrete) Average() float64 {
 	return float64(d.Total()) / float64(len(d.v))
 }
 
-// Potential returns Φ(L) = Σᵢ(ℓᵢ − ℓ̄)².
+// Potential returns Φ(L) = Σᵢ(ℓᵢ − ℓ̄)². The compensated sum runs straight
+// over the token counts — the same bits as on Float64s(), without the
+// n-float copy, so per-round Φ on a discrete cell does not allocate.
 func (d *Discrete) Potential() float64 {
-	return PotentialAround(d.Float64s(), d.Average())
+	return PotentialAround(d.v, d.Average())
 }
 
 // Discrepancy returns K = maxᵢℓᵢ − minᵢℓᵢ.
@@ -190,11 +192,12 @@ func (d *Discrete) String() string {
 
 // PotentialAround returns Σᵢ(xᵢ − c)² computed with compensated summation;
 // the potential is differenced across rounds, so we avoid losing the small
-// per-round drops to cancellation.
-func PotentialAround(x matrix.Vector, c float64) float64 {
+// per-round drops to cancellation. Integer token counts are converted one at
+// a time, exactly as a float copy of them would hold.
+func PotentialAround[E float64 | int64](x []E, c float64) float64 {
 	var sum, comp float64
 	for _, v := range x {
-		d := v - c
+		d := float64(v) - c
 		term := d * d
 		y := term - comp
 		t := sum + y

@@ -81,6 +81,26 @@ func TestDiscreteBasics(t *testing.T) {
 	}
 }
 
+// Discrete.Potential runs over the int64 counts directly; it must return
+// the bits PotentialAround gives on the float copy, and allocate nothing.
+func TestDiscretePotentialMatchesFloatPath(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 7, 1000} {
+		v := make([]int64, n)
+		for i := range v {
+			v[i] = r.Int63n(1 << 40)
+		}
+		d := NewDiscrete(v)
+		got, want := d.Potential(), PotentialAround(d.Float64s(), d.Average())
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: Φ = %v, float path %v", n, got, want)
+		}
+		if a := testing.AllocsPerRun(10, func() { d.Potential() }); a != 0 {
+			t.Fatalf("n=%d: Potential allocates %v times", n, a)
+		}
+	}
+}
+
 func TestDiscreteMoveAndConvert(t *testing.T) {
 	d := NewDiscrete([]int64{10, 0})
 	d.Move(0, 1, 5)

@@ -130,6 +130,14 @@ func ExtremalEigs(n int, op Operator, deflate matrix.Vector, seed int64) (min, m
 		s = s*6364136223846793005 + 1442695040888963407
 		v[i] = float64(int64(s>>11))/float64(1<<52) - 0.5
 	}
+	// ⟨u,u⟩ of the deflated direction, taken once per solve rather than
+	// per step; a zero direction deflates nothing, as in ProjectOut.
+	var dd float64
+	if deflate != nil {
+		if dd = deflate.Dot(deflate); dd == 0 {
+			deflate = nil
+		}
+	}
 	if deflate != nil {
 		v.ProjectOut(deflate)
 	}
@@ -145,13 +153,17 @@ func ExtremalEigs(n int, op Operator, deflate matrix.Vector, seed int64) (min, m
 	ritz := func() (float64, float64, float64, float64, error) {
 		// Diagonalize the current tridiagonal projection and read off the
 		// extremal Ritz values with their residual bounds |β_k·s_k| (s the
-		// eigenvector of T, k its last row).
+		// eigenvector of T, k its last row). QLImplicit rotates each row of
+		// z on its own and never feeds z back into D, so a single row
+		// started at e_mᵀ comes out as exactly the last row of the full
+		// eigenvector matrix: the check costs O(m²), not O(m³).
 		m := len(alpha)
 		t := Tridiagonal{D: append([]float64(nil), alpha...), E: make([]float64, m)}
 		for k := 0; k+1 < m; k++ {
 			t.E[k+1] = beta[k]
 		}
-		z := matrix.Identity(m)
+		z := matrix.NewDense(1, m)
+		z.Set(0, m-1, 1)
 		if err := QLImplicit(t, z); err != nil {
 			return 0, 0, 0, 0, err
 		}
@@ -168,8 +180,8 @@ func ExtremalEigs(n int, op Operator, deflate matrix.Vector, seed int64) (min, m
 				hi = c
 			}
 		}
-		resLo := math.Abs(bLast * z.At(m-1, lo))
-		resHi := math.Abs(bLast * z.At(m-1, hi))
+		resLo := math.Abs(bLast * z.At(0, lo))
+		resHi := math.Abs(bLast * z.At(0, hi))
 		return t.D[lo], t.D[hi], resLo, resHi, nil
 	}
 
@@ -184,13 +196,24 @@ func ExtremalEigs(n int, op Operator, deflate matrix.Vector, seed int64) (min, m
 			w.AddScaled(-beta[k-1], basis[k-1])
 		}
 		// Full reorthogonalization against the deflated direction and the
-		// whole basis keeps the Krylov space numerically orthogonal.
+		// whole basis keeps the Krylov space numerically orthogonal. Each
+		// vector's axpy shares its pass over w with the dot that yields the
+		// next vector's coefficient (see axpyDot), so the classical
+		// "w ← w − ⟨w,b⟩·b for each b" costs one pass per basis vector.
+		var coef float64
+		var prev matrix.Vector
 		if deflate != nil {
-			w.ProjectOut(deflate)
+			coef, prev = -w.Dot(deflate)/dd, deflate
 		}
 		for _, b := range basis {
-			w.AddScaled(-w.Dot(b), b)
+			if prev == nil {
+				coef = -w.Dot(b)
+			} else {
+				coef = -axpyDot(w, coef, prev, b)
+			}
+			prev = b
 		}
+		w.AddScaled(coef, prev)
 		bNorm := w.Norm2()
 		if bNorm < 1e-13 {
 			// Krylov space exhausted: the Ritz values are exact eigenvalues.
@@ -206,8 +229,9 @@ func ExtremalEigs(n int, op Operator, deflate matrix.Vector, seed int64) (min, m
 		v.Scale(1 / bNorm)
 
 		// Residual gate: check convergence of both extremal Ritz pairs.
-		// The tridiagonal solve is O(k²) — cheap next to the O(m) matvec
-		// until k grows, so check every few steps past a warm-up.
+		// The last-row tridiagonal solve is O(k²) — cheap next to the
+		// step's O(k·n) reorthogonalization — so check every few steps past
+		// a warm-up.
 		if k >= 8 && (k%4 == 3 || k == steps-1) {
 			var rerr error
 			lo, hi, resLo, resHi, rerr = ritz()
@@ -221,6 +245,20 @@ func ExtremalEigs(n int, op Operator, deflate matrix.Vector, seed int64) (min, m
 		}
 	}
 	return lo, hi, false, nil
+}
+
+// axpyDot performs w ← w + c·x and returns ⟨w, y⟩ of the updated w in the
+// same pass. Per element it runs w[i] += c*x[i] and then s += w[i]*y[i] —
+// the operations of AddScaled followed by Dot, in the same order — so the
+// result is bit-identical to the two separate passes.
+func axpyDot(w matrix.Vector, c float64, x, y matrix.Vector) float64 {
+	x, y = x[:len(w)], y[:len(w)]
+	var s float64
+	for i := range w {
+		w[i] += c * x[i]
+		s += w[i] * y[i]
+	}
+	return s
 }
 
 // LaplacianExtremal computes (λ₂, λ_max) of the Laplacian of g via implicit
