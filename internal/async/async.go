@@ -87,9 +87,6 @@ func (c *Continuous) Step() {
 // Potential returns Φ of the current distribution.
 func (c *Continuous) Potential() float64 { return c.Load.Potential() }
 
-// Ticks returns the number of edge activations so far.
-func (c *Continuous) Ticks() int { return c.tick }
-
 // Discrete is the asynchronous discrete balancer (⌊diff/2⌋ tokens per
 // activation, the [5] / [12] pairwise rule).
 type Discrete struct {
@@ -141,6 +138,3 @@ func (d *Discrete) Step() {
 
 // Potential returns Φ of the current distribution.
 func (d *Discrete) Potential() float64 { return d.Load.Potential() }
-
-// Ticks returns the number of edge activations so far.
-func (d *Discrete) Ticks() int { return d.tick }

@@ -17,7 +17,7 @@ func TestContinuousTickAverages(t *testing.T) {
 	if c.Load.At(0) != 5 || c.Load.At(1) != 5 {
 		t.Fatalf("after tick: %v %v", c.Load.At(0), c.Load.At(1))
 	}
-	if c.Ticks() != 1 {
+	if c.tick != 1 {
 		t.Fatal("tick count")
 	}
 }

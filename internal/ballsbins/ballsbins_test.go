@@ -89,3 +89,29 @@ func TestBinomialTailBoundLemma9Constants(t *testing.T) {
 		t.Fatalf("bound %v, want %v", got, want)
 	}
 }
+
+// CollisionProbability estimates, by Monte-Carlo, the probability that a
+// fixed bin receives more than k balls when n balls are thrown into n bins
+// — the quantity Lemma 9 bounds by (e/k)^k via the binomial tail.
+func CollisionProbability(n, k, trials int, rng *rand.Rand) float64 {
+	over := 0
+	for t := 0; t < trials; t++ {
+		// Only bin 0's count matters; sample it directly as Binomial(n, 1/n).
+		c := 0
+		for b := 0; b < n; b++ {
+			if rng.Float64() < 1/float64(n) {
+				c++
+			}
+		}
+		if c > k {
+			over++
+		}
+	}
+	return float64(over) / float64(trials)
+}
+
+// BinomialTailBound returns the Lemma 9-style union bound
+// C(n,k)·p^k ≤ (e·n·p/k)^k on Pr[Binomial(n, p) ≥ k].
+func BinomialTailBound(n int, p float64, k int) float64 {
+	return math.Pow(math.E*float64(n)*p/float64(k), float64(k))
+}

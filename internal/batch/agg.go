@@ -239,22 +239,7 @@ func (r *AggReport) Missing() int {
 // Table renders the grid-cell aggregates (same columns as
 // Report.AggregateTable).
 func (r *AggReport) Table() *trace.Table {
-	t := trace.NewTable(fmt.Sprintf("streaming aggregates — %d units", r.Units),
-		"topology", "algorithm", "mode", "workload", "scenario",
-		"runs", "converged", "failed", "rounds (mean±sd)", "mean rounds/bound", "mean rms disc.")
-	for _, a := range r.Aggregates {
-		ratio := "-"
-		if a.MeanBoundRatio > 0 {
-			ratio = fmt.Sprintf("%.4g", a.MeanBoundRatio)
-		}
-		t.AddRow(a.Topology, a.Algorithm, a.Mode, a.Workload,
-			scenarioDisplay(a.Scenario),
-			fmt.Sprintf("%d", a.Runs), fmt.Sprintf("%d", a.Converged),
-			fmt.Sprintf("%d", a.Failed),
-			fmt.Sprintf("%.4g±%.3g", a.MeanRounds, a.SDRounds), ratio,
-			fmt.Sprintf("%.4g", a.MeanRMS))
-	}
-	return t
+	return aggregateTable(fmt.Sprintf("streaming aggregates — %d units", r.Units), r.Aggregates)
 }
 
 // MarginalTable renders the per-dimension marginals.
@@ -280,16 +265,7 @@ func (r *AggReport) MarginalTable() *trace.Table {
 // Report.RenderCSV) followed by a blank line and the marginal block. Bytes
 // are identical for any worker count and any shard split.
 func (r *AggReport) RenderCSV(w io.Writer) error {
-	aggs := trace.NewTable("", "topology", "algorithm", "mode", "workload", "scenario",
-		"runs", "converged", "failed", "mean_rounds", "sd_rounds", "mean_bound_ratio", "mean_rms_discrepancy")
-	for _, a := range r.Aggregates {
-		aggs.AddRow(a.Topology, a.Algorithm, a.Mode, a.Workload,
-			scenarioDisplay(a.Scenario),
-			fmt.Sprintf("%d", a.Runs), fmt.Sprintf("%d", a.Converged), fmt.Sprintf("%d", a.Failed),
-			fmt.Sprintf("%.8g", a.MeanRounds), fmt.Sprintf("%.8g", a.SDRounds),
-			fmt.Sprintf("%.8g", a.MeanBoundRatio), fmt.Sprintf("%.8g", a.MeanRMS))
-	}
-	if err := aggs.RenderCSV(w); err != nil {
+	if err := aggregateCSV(r.Aggregates).RenderCSV(w); err != nil {
 		return err
 	}
 	if _, err := io.WriteString(w, "\n"); err != nil {

@@ -34,7 +34,7 @@ func TestAggSinkMatchesReportAggregates(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
 		spec := okSpec()
 		spec.Workers = workers
-		mem := batch.NewMemorySink()
+		mem := &batch.MemorySink{}
 		agg := batch.NewAggSink()
 		rep, err := batch.RunSink(context.Background(), spec, messyRun, batch.MultiSink{mem, agg})
 		if err != nil {

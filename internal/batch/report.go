@@ -189,10 +189,16 @@ func (r *Report) Table() *trace.Table {
 
 // AggregateTable renders the per-grid-cell summary across seeds.
 func (r *Report) AggregateTable() *trace.Table {
-	t := trace.NewTable("batch grid — aggregates across seeds",
+	return aggregateTable("batch grid — aggregates across seeds", r.Aggregates)
+}
+
+// aggregateTable is the human view of grid-cell aggregates, shared by
+// Report and the streaming AggReport so both print the same columns.
+func aggregateTable(title string, aggs []Aggregate) *trace.Table {
+	t := trace.NewTable(title,
 		"topology", "algorithm", "mode", "workload", "scenario",
 		"runs", "converged", "failed", "rounds (mean±sd)", "mean rounds/bound", "mean rms disc.")
-	for _, a := range r.Aggregates {
+	for _, a := range aggs {
 		ratio := "-"
 		if a.MeanBoundRatio > 0 {
 			ratio = fmt.Sprintf("%.4g", a.MeanBoundRatio)
@@ -203,6 +209,22 @@ func (r *Report) AggregateTable() *trace.Table {
 			fmt.Sprintf("%d", a.Failed),
 			fmt.Sprintf("%.4g±%.3g", a.MeanRounds, a.SDRounds), ratio,
 			fmt.Sprintf("%.4g", a.MeanRMS))
+	}
+	return t
+}
+
+// aggregateCSV is the deterministic aggregate block of both Report's and
+// AggReport's CSV output, so a streamed and an in-memory sweep agree byte
+// for byte.
+func aggregateCSV(aggs []Aggregate) *trace.Table {
+	t := trace.NewTable("", "topology", "algorithm", "mode", "workload", "scenario",
+		"runs", "converged", "failed", "mean_rounds", "sd_rounds", "mean_bound_ratio", "mean_rms_discrepancy")
+	for _, a := range aggs {
+		t.AddRow(a.Topology, a.Algorithm, a.Mode, a.Workload,
+			scenarioDisplay(a.Scenario),
+			fmt.Sprintf("%d", a.Runs), fmt.Sprintf("%d", a.Converged), fmt.Sprintf("%d", a.Failed),
+			fmt.Sprintf("%.8g", a.MeanRounds), fmt.Sprintf("%.8g", a.SDRounds),
+			fmt.Sprintf("%.8g", a.MeanBoundRatio), fmt.Sprintf("%.8g", a.MeanRMS))
 	}
 	return t
 }
@@ -230,16 +252,7 @@ func (r *Report) RenderCSV(w io.Writer) error {
 	if _, err := io.WriteString(w, "\n"); err != nil {
 		return err
 	}
-	aggs := trace.NewTable("", "topology", "algorithm", "mode", "workload", "scenario",
-		"runs", "converged", "failed", "mean_rounds", "sd_rounds", "mean_bound_ratio", "mean_rms_discrepancy")
-	for _, a := range r.Aggregates {
-		aggs.AddRow(a.Topology, a.Algorithm, a.Mode, a.Workload,
-			scenarioDisplay(a.Scenario),
-			fmt.Sprintf("%d", a.Runs), fmt.Sprintf("%d", a.Converged), fmt.Sprintf("%d", a.Failed),
-			fmt.Sprintf("%.8g", a.MeanRounds), fmt.Sprintf("%.8g", a.SDRounds),
-			fmt.Sprintf("%.8g", a.MeanBoundRatio), fmt.Sprintf("%.8g", a.MeanRMS))
-	}
-	return aggs.RenderCSV(w)
+	return aggregateCSV(r.Aggregates).RenderCSV(w)
 }
 
 // RenderJSON writes the report as indented JSON. Wall times and worker

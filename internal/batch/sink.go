@@ -43,9 +43,6 @@ type MemorySink struct {
 	cells []Cell
 }
 
-// NewMemorySink returns an empty in-memory sink.
-func NewMemorySink() *MemorySink { return &MemorySink{} }
-
 // Cell appends c.
 func (m *MemorySink) Cell(c Cell) error {
 	m.cells = append(m.cells, c)
@@ -82,9 +79,6 @@ type JSONLSink struct {
 	// legacy bytes.
 	Origin string
 }
-
-// NewJSONLSink streams cells to w. Close does not close w.
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
 
 // CreateJSONL creates the journal file at path and streams cells to it.
 // Close closes the file.

@@ -79,7 +79,7 @@ func TestJSONLJournalBytesDeterministicAcrossWorkers(t *testing.T) {
 func TestMemorySinkMatchesReport(t *testing.T) {
 	spec := okSpec()
 	spec.Workers = 4
-	mem := batch.NewMemorySink()
+	mem := &batch.MemorySink{}
 	rep, err := batch.RunSink(context.Background(), spec, fakeRun, mem)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestMemorySinkMatchesReport(t *testing.T) {
 func TestMultiSinkFansOut(t *testing.T) {
 	spec := okSpec()
 	spec.Workers = 4
-	mem := batch.NewMemorySink()
+	mem := &batch.MemorySink{}
 	var buf bytes.Buffer
 	multi := batch.MultiSink{mem, batch.NewJSONLSink(&buf)}
 	rep, err := batch.RunSink(context.Background(), spec, fakeRun, multi)

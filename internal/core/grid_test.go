@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -161,9 +162,13 @@ func TestGridCancelLeavesResumableJournal(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var journalBuf bytes.Buffer
+	journalPath := filepath.Join(t.TempDir(), "cells.jsonl")
+	inner, err := batch.CreateJSONL(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sink := &cancellingSink{
-		inner:  batch.NewJSONLSink(&journalBuf),
+		inner:  inner,
 		after:  len(fullRep.Cells) / 2,
 		cancel: cancel,
 	}
@@ -180,7 +185,11 @@ func TestGridCancelLeavesResumableJournal(t *testing.T) {
 		t.Fatal("interrupted sweep reports no cancelled units")
 	}
 
-	journal, err := batch.ReadJournal(bytes.NewReader(journalBuf.Bytes()))
+	journalBytes, err := os.ReadFile(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := batch.ReadJournal(bytes.NewReader(journalBytes))
 	if err != nil || journal.Dropped != 0 {
 		t.Fatalf("interrupted journal invalid: dropped=%d err=%v", journal.Dropped, err)
 	}

@@ -65,25 +65,6 @@ func RoundFlowsContinuous(g *graph.G, l matrix.Vector) []Flow {
 	return flows
 }
 
-// RoundFlowsDiscrete computes the integer per-edge flows of the discrete
-// Algorithm 1: ⌊|ℓᵢ−ℓⱼ|/(4·max(dᵢ,dⱼ))⌋ tokens from the heavier endpoint.
-func RoundFlowsDiscrete(g *graph.G, tokens []int64) []Flow {
-	flows := make([]Flow, 0, g.M())
-	for _, e := range g.Edges() {
-		li, lj := float64(tokens[e.U]), float64(tokens[e.V])
-		w := math.Floor(EdgeWeight(g, e.U, e.V, li, lj))
-		if w == 0 {
-			continue
-		}
-		amt := w
-		if li < lj {
-			amt = -w
-		}
-		flows = append(flows, Flow{Edge: e, Amount: amt})
-	}
-	return flows
-}
-
 // Continuous is the stateful continuous Algorithm 1 stepper on a fixed
 // graph. Workers > 1 enables the goroutine-parallel round executor.
 type Continuous struct {

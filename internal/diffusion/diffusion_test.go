@@ -240,14 +240,17 @@ func TestRoundFlowsContinuousAntisymmetry(t *testing.T) {
 
 func TestRoundFlowsDiscreteFloor(t *testing.T) {
 	g := graph.Path(2)
-	flows := RoundFlowsDiscrete(g, []int64{10, 0})
+	st := NewDiscrete(g, []int64{10, 0})
+	st.Step()
 	// w = 10/(4·1) = 2.5 → 2 tokens.
-	if len(flows) != 1 || flows[0].Amount != 2 {
-		t.Fatalf("flows = %+v", flows)
+	if got := st.LoadTokens(); got[0] != 8 || got[1] != 2 {
+		t.Fatalf("after one round: %v, want [8 2]", got)
 	}
 	// Sub-threshold difference moves nothing.
-	if got := RoundFlowsDiscrete(g, []int64{3, 0}); len(got) != 0 {
-		t.Fatalf("expected no flow, got %+v", got)
+	st = NewDiscrete(g, []int64{3, 0})
+	st.Step()
+	if got := st.LoadTokens(); got[0] != 3 || got[1] != 0 {
+		t.Fatalf("after one round: %v, want [3 0]", got)
 	}
 }
 

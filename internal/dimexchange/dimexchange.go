@@ -204,19 +204,3 @@ func (d *Discrete) Potential() float64 { return d.Load.Potential() }
 
 // LoadTokens returns the live token counts (implements sim.DiscreteState).
 func (d *Discrete) LoadTokens() []int64 { return d.Load.Tokens() }
-
-// IsMatching reports whether the edge set m is a matching of g (edges of g,
-// pairwise disjoint endpoints). Exposed for tests and assertions.
-func IsMatching(g *graph.G, m []graph.Edge) bool {
-	used := make(map[int]bool, 2*len(m))
-	for _, e := range m {
-		if !g.HasEdge(e.U, e.V) {
-			return false
-		}
-		if used[e.U] || used[e.V] {
-			return false
-		}
-		used[e.U], used[e.V] = true, true
-	}
-	return true
-}

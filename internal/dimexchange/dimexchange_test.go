@@ -181,3 +181,19 @@ func TestMatchedPairsBalanceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// IsMatching reports whether the edge set m is a matching of g (edges of g,
+// pairwise disjoint endpoints).
+func IsMatching(g *graph.G, m []graph.Edge) bool {
+	used := make(map[int]bool, 2*len(m))
+	for _, e := range m {
+		if !g.HasEdge(e.U, e.V) {
+			return false
+		}
+		if used[e.U] || used[e.V] {
+			return false
+		}
+		used[e.U], used[e.V] = true, true
+	}
+	return true
+}

@@ -15,7 +15,6 @@ package flow
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/matrix"
@@ -45,18 +44,6 @@ func (f *EdgeFlow) L1() float64 { return matrix.Vector(f.Values).Norm1() }
 
 // MaxEdge returns max|f_e| — the most congested edge.
 func (f *EdgeFlow) MaxEdge() float64 { return matrix.Vector(f.Values).NormInf() }
-
-// Divergence returns the node-wise divergence of the flow: out-flow minus
-// in-flow at every node. For a balancing flow of load vector ℓ this equals
-// ℓ − ℓ̄·1.
-func (f *EdgeFlow) Divergence() matrix.Vector {
-	div := make(matrix.Vector, f.G.N())
-	for k, e := range f.G.Edges() {
-		div[e.U] += f.Values[k]
-		div[e.V] -= f.Values[k]
-	}
-	return div
-}
 
 // Sub returns f − g as a new flow (same graph required).
 func (f *EdgeFlow) Sub(other *EdgeFlow) (*EdgeFlow, error) {
@@ -90,19 +77,6 @@ func Optimal(g *graph.G, l matrix.Vector) (*EdgeFlow, error) {
 		f.Values[k] = x[e.U] - x[e.V]
 	}
 	return f, nil
-}
-
-// IsBalancing reports whether f's divergence matches the deviation of l
-// within tol — i.e. routing f balances l exactly.
-func IsBalancing(f *EdgeFlow, l matrix.Vector, tol float64) bool {
-	div := f.Divergence()
-	mean := l.Mean()
-	for i := range div {
-		if math.Abs(div[i]-(l[i]-mean)) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // Accumulator records the cumulative per-edge flow a running scheme routes.

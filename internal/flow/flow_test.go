@@ -217,3 +217,28 @@ func maxDev(v matrix.Vector) float64 {
 	}
 	return m
 }
+
+// Divergence returns the node-wise divergence of the flow: out-flow minus
+// in-flow at every node. For a balancing flow of load vector ℓ this equals
+// ℓ − ℓ̄·1.
+func (f *EdgeFlow) Divergence() matrix.Vector {
+	div := make(matrix.Vector, f.G.N())
+	for k, e := range f.G.Edges() {
+		div[e.U] += f.Values[k]
+		div[e.V] -= f.Values[k]
+	}
+	return div
+}
+
+// IsBalancing reports whether f's divergence matches the deviation of l
+// within tol — i.e. routing f balances l exactly.
+func IsBalancing(f *EdgeFlow, l matrix.Vector, tol float64) bool {
+	div := f.Divergence()
+	mean := l.Mean()
+	for i := range div {
+		if math.Abs(div[i]-(l[i]-mean)) > tol {
+			return false
+		}
+	}
+	return true
+}

@@ -35,18 +35,6 @@ func (e Edge) Canonical() Edge {
 	return e
 }
 
-// Other returns the endpoint of e that is not x. Panics if x is not an
-// endpoint.
-func (e Edge) Other(x int) int {
-	switch x {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	}
-	panic(fmt.Sprintf("graph: node %d not on edge %v", x, e))
-}
-
 // G is an immutable simple undirected graph with nodes 0..n−1.
 //
 // Besides the per-node neighbour slices, every graph carries a flat CSR
@@ -216,20 +204,6 @@ func (g *G) MaxDegree() int {
 	return max
 }
 
-// MinDegree returns minᵢ deg(i); 0 for the empty graph.
-func (g *G) MinDegree() int {
-	if g.n == 0 {
-		return 0
-	}
-	min := g.deg[0]
-	for _, d := range g.deg[1:] {
-		if d < min {
-			min = d
-		}
-	}
-	return min
-}
-
 // Fingerprint returns a stable 64-bit structural hash of the graph: its
 // name, node count and full edge set. Two graphs with the same fingerprint
 // are interchangeable for caching purposes — internal/speccache keys its
@@ -286,30 +260,6 @@ func (g *G) IsConnected() bool {
 		}
 	}
 	return count == g.n
-}
-
-// IsRegular reports whether every node has the same degree, and that degree.
-func (g *G) IsRegular() (int, bool) {
-	if g.n == 0 {
-		return 0, true
-	}
-	d := g.deg[0]
-	for _, x := range g.deg[1:] {
-		if x != d {
-			return 0, false
-		}
-	}
-	return d, true
-}
-
-// Adjacency returns the n×n adjacency matrix A.
-func (g *G) Adjacency() *matrix.Dense {
-	a := matrix.NewDense(g.n, g.n)
-	for _, e := range g.edges {
-		a.Set(e.U, e.V, 1)
-		a.Set(e.V, e.U, 1)
-	}
-	return a
 }
 
 // Laplacian returns the n×n Laplacian L = D − A, where D is the diagonal

@@ -262,26 +262,3 @@ func ErdosRenyi(n int, p float64, rng *rand.Rand) *G {
 	}
 	return b.MustFinish()
 }
-
-// StandardSuite returns the fixed-topology families the experiment harness
-// sweeps over, at a size close to n (exact for path/cycle, rounded for
-// torus/hypercube). Randomized families are excluded; they are seeded
-// separately by the harness.
-func StandardSuite(n int) []*G {
-	side := 3
-	for side*side < n {
-		side++
-	}
-	d := 1
-	for 1<<uint(d) < n {
-		d++
-	}
-	return []*G{
-		Path(n),
-		Cycle(n),
-		Torus(side, side),
-		Hypercube(d),
-		DeBruijn(d),
-		Complete(n),
-	}
-}

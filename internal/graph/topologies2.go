@@ -26,20 +26,6 @@ func Torus3D(a, b, c int) *G {
 	return bld.MustFinish()
 }
 
-// Torus3DLambda2 returns λ₂ of the a×b×c 3-D torus: the spectrum is the
-// sumset of three cycle spectra, so the smallest nonzero value comes from
-// the longest dimension.
-func Torus3DLambda2(a, b, c int) float64 {
-	m := a
-	if b > m {
-		m = b
-	}
-	if c > m {
-		m = c
-	}
-	return CycleLambda2(m)
-}
-
 // CubeConnectedCycles returns the cube-connected-cycles network CCC(d):
 // each hypercube node is replaced by a cycle of d nodes, node (w, i)
 // connecting to (w, i±1) on its cycle and to (w ⊕ 2ⁱ, i) across dimension

@@ -26,7 +26,7 @@ func TestTorus3DLambda2MatchesDense(t *testing.T) {
 	// Verify the closed form against the generic eigensolver via the
 	// Laplacian spectrum of a small instance.
 	g := Torus3D(3, 3, 4)
-	want := Torus3DLambda2(3, 3, 4)
+	want := CycleLambda2(4) // the longest of the three cycles sets λ₂
 	// Dense solve through the public Laplacian (keep this package free of
 	// a spectral import by checking the Rayleigh quotient of the known
 	// eigenvector instead: the slowest mode lives on the longest cycle).

@@ -104,16 +104,6 @@ func (h *Continuous) Potential() float64 {
 	return s
 }
 
-// TargetLoads returns the proportional-fair target vector ℓᵢ* = cᵢ·ω.
-func (h *Continuous) TargetLoads() matrix.Vector {
-	omega := h.Omega()
-	out := make(matrix.Vector, len(h.Speeds))
-	for i, c := range h.Speeds {
-		out[i] = c * omega
-	}
-	return out
-}
-
 // MaxRelativeDeviation returns maxᵢ |ℓᵢ/cᵢ − ω| / ω (0 when ω = 0) — the
 // per-speed analogue of the discrepancy.
 func (h *Continuous) MaxRelativeDeviation() float64 {
@@ -128,13 +118,4 @@ func (h *Continuous) MaxRelativeDeviation() float64 {
 		}
 	}
 	return m
-}
-
-// UniformSpeeds returns an all-ones speed vector (the homogeneous case).
-func UniformSpeeds(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = 1
-	}
-	return out
 }

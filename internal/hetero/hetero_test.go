@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/diffusion"
 	"repro/internal/graph"
+	"repro/internal/matrix"
 	"repro/internal/workload"
 )
 
@@ -171,4 +172,23 @@ func TestHeteroInvariantsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TargetLoads returns the proportional-fair target vector ℓᵢ* = cᵢ·ω.
+func (h *Continuous) TargetLoads() matrix.Vector {
+	omega := h.Omega()
+	out := make(matrix.Vector, len(h.Speeds))
+	for i, c := range h.Speeds {
+		out[i] = c * omega
+	}
+	return out
+}
+
+// UniformSpeeds returns an all-ones speed vector (the homogeneous case).
+func UniformSpeeds(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = 1
+	}
+	return out
 }

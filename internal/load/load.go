@@ -1,7 +1,7 @@
 // Package load defines the load-vector abstractions shared by every
 // balancing algorithm in this repository, together with the quantities the
-// paper's analysis tracks: the quadratic potential Φ(L) = Σ(ℓᵢ − ℓ̄)², the
-// discrepancy K = max ℓᵢ − min ℓᵢ, and the error vector e = L − ℓ̄·1.
+// paper's analysis tracks: the quadratic potential Φ(L) = Σ(ℓᵢ − ℓ̄)² and
+// the discrepancy K = max ℓᵢ − min ℓᵢ.
 //
 // Two concrete representations exist: Continuous (float64 loads, arbitrary
 // splitting — the "ideal" model of §2.1) and Discrete (int64 token counts —
@@ -12,7 +12,6 @@ package load
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/matrix"
 )
@@ -27,9 +26,6 @@ func NewContinuous(loads []float64) *Continuous {
 	return &Continuous{v: matrix.Vector(loads).Clone()}
 }
 
-// Zero returns an n-node all-zero continuous distribution.
-func Zero(n int) *Continuous { return &Continuous{v: matrix.NewVector(n)} }
-
 // N returns the number of nodes.
 func (c *Continuous) N() int { return len(c.v) }
 
@@ -38,13 +34,6 @@ func (c *Continuous) At(i int) float64 { return c.v[i] }
 
 // Set assigns node i's load.
 func (c *Continuous) Set(i int, x float64) { c.v[i] = x }
-
-// Move transfers amount from node i to node j. Negative amounts move load
-// the other way; the caller is responsible for sign conventions.
-func (c *Continuous) Move(i, j int, amount float64) {
-	c.v[i] -= amount
-	c.v[j] += amount
-}
 
 // Vector returns the underlying vector (shared, not copied). Callers that
 // need isolation should Clone first.
@@ -72,19 +61,6 @@ func (c *Continuous) Discrepancy() float64 {
 	return c.v.Max() - c.v.Min()
 }
 
-// ErrorVector returns e = L − ℓ̄·1 as a fresh vector.
-func (c *Continuous) ErrorVector() matrix.Vector {
-	avg := c.Average()
-	e := c.v.Clone()
-	for i := range e {
-		e[i] -= avg
-	}
-	return e
-}
-
-// ErrorNorm2 returns ‖e‖₂ = sqrt(Φ).
-func (c *Continuous) ErrorNorm2() float64 { return math.Sqrt(c.Potential()) }
-
 // String implements fmt.Stringer.
 func (c *Continuous) String() string {
 	return fmt.Sprintf("Continuous{n=%d total=%.3f Φ=%.3f K=%.3f}", c.N(), c.Total(), c.Potential(), c.Discrepancy())
@@ -102,9 +78,6 @@ func NewDiscrete(tokens []int64) *Discrete {
 	return &Discrete{v: out}
 }
 
-// ZeroDiscrete returns an n-node all-zero discrete distribution.
-func ZeroDiscrete(n int) *Discrete { return &Discrete{v: make([]int64, n)} }
-
 // N returns the number of nodes.
 func (d *Discrete) N() int { return len(d.v) }
 
@@ -113,12 +86,6 @@ func (d *Discrete) At(i int) int64 { return d.v[i] }
 
 // Set assigns node i's token count.
 func (d *Discrete) Set(i int, x int64) { d.v[i] = x }
-
-// Move transfers tokens from node i to node j.
-func (d *Discrete) Move(i, j int, tokens int64) {
-	d.v[i] -= tokens
-	d.v[j] += tokens
-}
 
 // Tokens returns the underlying counts (shared, not copied).
 func (d *Discrete) Tokens() []int64 { return d.v }
@@ -178,11 +145,6 @@ func (d *Discrete) Float64s() matrix.Vector {
 		out[i] = float64(x)
 	}
 	return out
-}
-
-// ToContinuous converts to the continuous representation.
-func (d *Discrete) ToContinuous() *Continuous {
-	return &Continuous{v: d.Float64s()}
 }
 
 // String implements fmt.Stringer.

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/diffusion"
 	"repro/internal/graph"
+	"repro/internal/load"
 	"repro/internal/spectral"
 	"repro/internal/workload"
 )
@@ -112,4 +114,24 @@ func TestIdealizedDiscrepancyAfterDecreases(t *testing.T) {
 	if d100 >= d10 {
 		t.Fatalf("discrepancy not decreasing: %v then %v", d10, d100)
 	}
+}
+
+// RSWRoundBound returns the [16] idealized-chain round count
+// r = (2/µ)·ln(K·n²/x) sufficient to reduce an initial discrepancy K to x,
+// for eigenvalue gap µ = 1 − γ.
+func RSWRoundBound(mu float64, K float64, n int, x float64) float64 {
+	if mu <= 0 || K <= 0 || x <= 0 {
+		return math.Inf(1)
+	}
+	return 2 / mu * math.Log(K*float64(n)*float64(n)/x)
+}
+
+// IdealizedDiscrepancyAfter runs the idealized chain for T rounds and
+// returns the final discrepancy; a cheap helper for bound checks.
+func IdealizedDiscrepancyAfter(g *graph.G, initial []float64, T int) float64 {
+	st := diffusion.NewContinuous(g, initial)
+	for t := 0; t < T; t++ {
+		st.Step()
+	}
+	return load.NewContinuous(st.Load.Vector()).Discrepancy()
 }

@@ -88,33 +88,10 @@ func (m *Dense) check(i, j int) {
 	}
 }
 
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) Vector {
-	out := make(Vector, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// RawRow returns row i as a shared slice (no copy). Callers must not resize.
-func (m *Dense) RawRow(i int) []float64 {
-	return m.data[i*m.cols : (i+1)*m.cols]
-}
-
 // Clone returns a deep copy.
 func (m *Dense) Clone() *Dense {
 	out := NewDense(m.rows, m.cols)
 	copy(out.data, m.data)
-	return out
-}
-
-// Transpose returns mᵀ as a new matrix.
-func (m *Dense) Transpose() *Dense {
-	out := NewDense(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*out.cols+i] = m.data[i*m.cols+j]
-		}
-	}
 	return out
 }
 
@@ -124,52 +101,6 @@ func (m *Dense) Scale(s float64) *Dense {
 		m.data[i] *= s
 	}
 	return m
-}
-
-// AddMat returns m + b as a new matrix.
-func (m *Dense) AddMat(b *Dense) (*Dense, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d + %dx%d", ErrDimension, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
-	}
-	return out, nil
-}
-
-// SubMat returns m − b as a new matrix.
-func (m *Dense) SubMat(b *Dense) (*Dense, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: %dx%d - %dx%d", ErrDimension, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
-	}
-	return out, nil
-}
-
-// Mul returns m·b as a new matrix.
-func (m *Dense) Mul(b *Dense) (*Dense, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("%w: %dx%d * %dx%d", ErrDimension, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := NewDense(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		mi := m.data[i*m.cols : (i+1)*m.cols]
-		oi := out.data[i*out.cols : (i+1)*out.cols]
-		for k, mik := range mi {
-			if mik == 0 {
-				continue
-			}
-			bk := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bkj := range bk {
-				oi[j] += mik * bkj
-			}
-		}
-	}
-	return out, nil
 }
 
 // MulVec computes m·x into a new vector.
@@ -211,15 +142,6 @@ func (m *Dense) IsSymmetric(tol float64) bool {
 		}
 	}
 	return true
-}
-
-// FrobeniusNorm returns sqrt(ΣΣ m[i][j]²).
-func (m *Dense) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbs returns the largest absolute entry.

@@ -3,15 +3,11 @@ package matrix
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Vector is a dense float64 vector. It is a named slice type so that the
 // numeric helpers read naturally at call sites (x.Dot(y), x.Norm2(), …).
 type Vector []float64
-
-// NewVector allocates a zero vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
 
 // Clone returns a copy of x.
 func (x Vector) Clone() Vector {
@@ -161,13 +157,6 @@ func (x Vector) ProjectOut(u Vector) {
 		return
 	}
 	x.AddScaled(-x.Dot(u)/uu, u)
-}
-
-// Sorted returns an ascending copy of x.
-func (x Vector) Sorted() Vector {
-	out := x.Clone()
-	sort.Float64s(out)
-	return out
 }
 
 // Fill sets every entry to v and returns x.

@@ -115,15 +115,8 @@ func TestProjectOut(t *testing.T) {
 	}
 }
 
-func TestSortedAndClone(t *testing.T) {
+func TestClone(t *testing.T) {
 	x := Vector{3, 1, 2}
-	s := x.Sorted()
-	if s[0] != 1 || s[1] != 2 || s[2] != 3 {
-		t.Fatalf("Sorted: %v", s)
-	}
-	if x[0] != 3 {
-		t.Fatal("Sorted must not mutate receiver")
-	}
 	c := x.Clone()
 	c[0] = 99
 	if x[0] != 3 {
@@ -132,7 +125,7 @@ func TestSortedAndClone(t *testing.T) {
 }
 
 func TestFillAndApproxEqual(t *testing.T) {
-	x := NewVector(3).Fill(7)
+	x := make(Vector, 3).Fill(7)
 	if x[2] != 7 {
 		t.Fatalf("Fill: %v", x)
 	}

@@ -99,32 +99,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (q in [0,1]) from the bucket counts:
-// the upper bound of the first bucket whose cumulative count reaches
-// q·total. Samples past the last bound report the last bound (the histogram
-// cannot see further). Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			return b
-		}
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // ExpBuckets returns n exponentially growing upper bounds start,
 // start·factor, start·factor², … — the standard shape for latency and
 // backlog histograms whose samples span orders of magnitude.

@@ -9,20 +9,14 @@ import (
 	"repro/internal/core"
 )
 
-// MergeReport reassembles the plan's shard journals into the final report
-// and renders it to stdout in the given format ("table", "csv" or "json") —
-// the automatic last step of a supervised sweep, and the same output a
-// single-process run of the plan's spec would print, byte for byte.
-func (p *Plan) MergeReport(ctx context.Context, format string, streamAgg bool, stdout, stderr io.Writer) (failedUnits int, err error) {
-	return p.MergeReportFrom(ctx, p.JournalPaths(), format, streamAgg, stdout, stderr)
-}
-
-// MergeReportFrom is MergeReport over an explicit journal set — the form
-// the supervisor uses after a sweep with steals, where the journals are the
-// planned shards plus whatever sub-range journals the steals minted.
-// Because sub-range journals carry the same global unit indices the victim
-// would have written, the merge is indistinguishable from an uninterrupted
-// run.
+// MergeReportFrom reassembles the given shard journals into the final
+// report and renders it to stdout in the given format ("table", "csv" or
+// "json") — the automatic last step of a supervised sweep, and the same
+// output a single-process run of the plan's spec would print, byte for
+// byte. The journals are the planned shards plus whatever sub-range
+// journals steals minted. Because sub-range journals carry the same global
+// unit indices the victim would have written, the merge is
+// indistinguishable from an uninterrupted run.
 //
 // The classic path replays the merged journal through the resume engine, so
 // any units the journals somehow miss re-run in-process rather than leaving

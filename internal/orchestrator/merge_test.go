@@ -51,7 +51,7 @@ func TestMergeReportByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	failed, err := p.MergeReport(context.Background(), "csv", false, &got, io.Discard)
+	failed, err := p.MergeReportFrom(context.Background(), p.JournalPaths(), "csv", false, &got, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestMergeReportByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	got.Reset()
-	if _, err := p.MergeReport(context.Background(), "csv", true, &got, io.Discard); err != nil {
+	if _, err := p.MergeReportFrom(context.Background(), p.JournalPaths(), "csv", true, &got, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -147,7 +147,7 @@ func TestMergeReportRerunsGaps(t *testing.T) {
 	if err := full.RenderCSV(&want); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.MergeReport(context.Background(), "csv", false, &got, io.Discard); err != nil {
+	if _, err := p.MergeReportFrom(context.Background(), p.JournalPaths(), "csv", false, &got, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -155,7 +155,7 @@ func TestMergeReportRerunsGaps(t *testing.T) {
 	}
 
 	// The streaming path re-runs nothing, so the same gap is a loud error.
-	if _, err := p.MergeReport(context.Background(), "csv", true, io.Discard, io.Discard); err == nil {
+	if _, err := p.MergeReportFrom(context.Background(), p.JournalPaths(), "csv", true, io.Discard, io.Discard); err == nil {
 		t.Fatal("stream-agg merge of an incomplete journal set succeeded")
 	}
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -221,4 +222,30 @@ func TestStaticIsNoOp(t *testing.T) {
 	if inst.Graph(5) != base || inst.Arrivals(5, []float64{1, 2, 3, 4}) != nil {
 		t.Fatal("static scenario is not a no-op")
 	}
+}
+
+// VerifyRegistry checks a kind registry the way the scenario and workload
+// tests share: every kind index in [0, n) must stringify to a real name
+// (not the "Kind(i)" fallback, which means a constant was added without a
+// String case), the name must parse back to the same index, and index n
+// itself must hit the fallback (which means the registry's count sentinel
+// covers every declared constant). Returns the first violation.
+func VerifyRegistry(n int, name func(i int) string, parse func(s string) (int, error)) error {
+	for i := 0; i < n; i++ {
+		s := name(i)
+		if strings.Contains(s, "(") {
+			return fmt.Errorf("kind %d has no registered name (String() = %q)", i, s)
+		}
+		j, err := parse(s)
+		if err != nil {
+			return fmt.Errorf("kind %d (%q) does not parse back: %v", i, s, err)
+		}
+		if j != i {
+			return fmt.Errorf("kind %d (%q) parses to %d", i, s, j)
+		}
+	}
+	if s := name(n); !strings.Contains(s, "(") {
+		return fmt.Errorf("kind %d (%q) is named but not counted by the registry sentinel", n, s)
+	}
+	return nil
 }

@@ -195,3 +195,10 @@ func matrixPotential(l matrix.Vector) float64 {
 	}
 	return s
 }
+
+// Lemma2Holds reports whether the round's total drop meets the Lemma 2
+// lower bound.
+func (rt RoundTrace) Lemma2Holds() bool {
+	const slack = 1e-9
+	return rt.TotalDrop() >= rt.Lemma2RHS-slack*(1+rt.Lemma2RHS)
+}

@@ -8,10 +8,7 @@
 // one Step call is one parallel round; the driver never interleaves rounds.
 package sim
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // System is the stepper interface implemented by every balancing algorithm
 // in this repository (diffusion.Continuous, diffusion.Discrete,
@@ -56,9 +53,6 @@ func UntilFraction(phi0, frac float64) StopFunc {
 	return func(_ int, phi float64) bool { return phi <= target }
 }
 
-// Never runs to the round limit.
-func Never() StopFunc { return func(int, float64) bool { return false } }
-
 // Result is the trajectory record of one run.
 type Result struct {
 	// Rounds is the number of rounds executed.
@@ -77,26 +71,13 @@ func (r Result) PhiStart() float64 { return r.Phi[0] }
 // PhiEnd returns the final potential.
 func (r Result) PhiEnd() float64 { return r.Phi[len(r.Phi)-1] }
 
-// DropFactors returns the per-round ratios Φᵗ⁺¹/Φᵗ (skipping rounds with
-// Φᵗ = 0); the experiments compare their mean against the paper's
-// contraction constants.
-func (r Result) DropFactors() []float64 {
-	out := make([]float64, 0, r.Rounds)
-	for t := 0; t+1 < len(r.Phi); t++ {
-		if r.Phi[t] > 0 {
-			out = append(out, r.Phi[t+1]/r.Phi[t])
-		}
-	}
-	return out
-}
-
 // String implements fmt.Stringer.
 func (r Result) String() string {
 	return fmt.Sprintf("Result{rounds=%d Φ: %.4g → %.4g converged=%v}", r.Rounds, r.PhiStart(), r.PhiEnd(), r.Converged)
 }
 
 // Run drives sys until stop fires or maxRounds elapse, recording Φ after
-// every round. maxRounds must be ≥ 0.
+// every round. A nil stop runs all maxRounds rounds. maxRounds must be ≥ 0.
 func Run(sys System, maxRounds int, stop StopFunc) Result {
 	if maxRounds < 0 {
 		panic("sim: negative maxRounds")
@@ -133,20 +114,4 @@ func RoundsToFraction(sys System, frac float64, maxRounds int) int {
 		return maxRounds + 1
 	}
 	return res.Rounds
-}
-
-// MeanDropFactor runs sys for exactly rounds rounds and returns the
-// geometric-mean per-round contraction factor (Φᵀ/Φ⁰)^(1/T); NaN when the
-// potential hits zero or the start is already balanced.
-func MeanDropFactor(sys System, rounds int) float64 {
-	phi0 := sys.Potential()
-	if phi0 <= 0 {
-		return math.NaN()
-	}
-	res := Run(sys, rounds, Never())
-	phiT := res.PhiEnd()
-	if phiT <= 0 {
-		return math.NaN()
-	}
-	return math.Pow(phiT/phi0, 1/float64(rounds))
 }

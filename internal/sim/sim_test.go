@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/diffusion"
@@ -16,7 +15,7 @@ func (h *halver) Step()              { h.phi /= 2 }
 func (h *halver) Potential() float64 { return h.phi }
 
 func TestRunRecordsTrajectory(t *testing.T) {
-	res := Run(&halver{phi: 16}, 3, Never())
+	res := Run(&halver{phi: 16}, 3, nil)
 	want := []float64{16, 8, 4, 2}
 	if res.Rounds != 3 || len(res.Phi) != 4 {
 		t.Fatalf("result %+v", res)
@@ -27,7 +26,7 @@ func TestRunRecordsTrajectory(t *testing.T) {
 		}
 	}
 	if res.Converged {
-		t.Fatal("Never() must not converge")
+		t.Fatal("a nil stop must not converge")
 	}
 }
 
@@ -46,7 +45,7 @@ func TestRunStopImmediately(t *testing.T) {
 }
 
 func TestRunZeroRounds(t *testing.T) {
-	res := Run(&halver{phi: 5}, 0, Never())
+	res := Run(&halver{phi: 5}, 0, nil)
 	if res.Rounds != 0 || res.PhiStart() != 5 || res.PhiEnd() != 5 {
 		t.Fatalf("zero-round run %+v", res)
 	}
@@ -58,22 +57,13 @@ func TestRunNegativePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Run(&halver{phi: 1}, -1, Never())
+	Run(&halver{phi: 1}, -1, nil)
 }
 
 func TestUntilFraction(t *testing.T) {
 	res := Run(&halver{phi: 100}, 100, UntilFraction(100, 0.1))
 	if !res.Converged || res.PhiEnd() > 10 {
 		t.Fatalf("%+v", res)
-	}
-}
-
-func TestDropFactors(t *testing.T) {
-	res := Run(&halver{phi: 8}, 3, Never())
-	for _, f := range res.DropFactors() {
-		if f != 0.5 {
-			t.Fatalf("drop factor %v", f)
-		}
 	}
 }
 
@@ -88,16 +78,6 @@ func TestRoundsToFraction(t *testing.T) {
 	// Already balanced start.
 	if got := RoundsToFraction(&halver{phi: 0}, 0.5, 10); got != 0 {
 		t.Fatalf("balanced start %d", got)
-	}
-}
-
-func TestMeanDropFactor(t *testing.T) {
-	got := MeanDropFactor(&halver{phi: 100}, 10)
-	if math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("mean factor %v", got)
-	}
-	if !math.IsNaN(MeanDropFactor(&halver{phi: 0}, 5)) {
-		t.Fatal("balanced start must be NaN")
 	}
 }
 

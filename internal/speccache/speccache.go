@@ -222,9 +222,9 @@ func (c *Cache) OptimalFlow(g *graph.G, l matrix.Vector) (*flow.EdgeFlow, error)
 	}
 	// The copy is bound to the caller's graph instance, not the one the
 	// value was first computed on: equal fingerprints guarantee identical
-	// edge lists, and flow operations (Sub, Divergence) compare graph
-	// pointers, so a cache hit across separately built suites must not leak
-	// the original instance.
+	// edge lists, and flow.EdgeFlow.Sub compares graph pointers, so a cache
+	// hit across separately built suites must not leak the original
+	// instance.
 	out := flow.NewEdgeFlow(g)
 	copy(out.Values, e.val.Values)
 	return out, nil

@@ -151,29 +151,30 @@ func TestLanczosMatchesDenseOnUnstructuredGraphs(t *testing.T) {
 // TestSolveCountersTrackDispatch pins the path each graph class takes:
 // recognized families take the closed form at any size, unrecognized small
 // graphs take the dense solver, and unrecognized graphs beyond denseCutoff
-// take Lanczos — with the counters recording each.
+// take Lanczos — with the counters recording each. The counters are
+// process-wide and only ever grow, so each solve is read as a delta.
 func TestSolveCountersTrackDispatch(t *testing.T) {
-	ResetSolveCounts()
-	if _, err := Lambda2(graph.Hypercube(12)); err != nil { // n=4096 > denseCutoff, still closed form
-		t.Fatal(err)
+	solve := func(g *graph.G) SolveCounts {
+		before := SolveStats()
+		if _, err := Lambda2(g); err != nil {
+			t.Fatal(err)
+		}
+		after := SolveStats()
+		return SolveCounts{
+			ClosedForm:   after.ClosedForm - before.ClosedForm,
+			Dense:        after.Dense - before.Dense,
+			Lanczos:      after.Lanczos - before.Lanczos,
+			InversePower: after.InversePower - before.InversePower,
+		}
 	}
-	if s := SolveStats(); s.ClosedForm != 1 || s.Dense != 0 || s.Lanczos != 0 {
+	if s := solve(graph.Hypercube(12)); s != (SolveCounts{ClosedForm: 1}) { // n=4096 > denseCutoff, still closed form
 		t.Fatalf("hypercube(12): counters %+v, want exactly one closed-form solve", s)
 	}
-
-	ResetSolveCounts()
-	if _, err := Lambda2(graph.DeBruijn(5)); err != nil { // n=32 ≤ denseCutoff
-		t.Fatal(err)
-	}
-	if s := SolveStats(); s.Dense != 1 || s.ClosedForm != 0 {
+	if s := solve(graph.DeBruijn(5)); s != (SolveCounts{Dense: 1}) { // n=32 ≤ denseCutoff
 		t.Fatalf("debruijn(5): counters %+v, want exactly one dense solve", s)
 	}
-
-	ResetSolveCounts()
-	if _, err := Lambda2(graph.DeBruijn(10)); err != nil { // n=1024 > denseCutoff, no closed form
-		t.Fatal(err)
-	}
-	if s := SolveStats(); s.Dense != 0 || s.ClosedForm != 0 || s.Lanczos+s.InversePower != 1 {
+	// n=1024 > denseCutoff, no closed form
+	if s := solve(graph.DeBruijn(10)); s.Dense != 0 || s.ClosedForm != 0 || s.Lanczos+s.InversePower != 1 {
 		t.Fatalf("debruijn(10): counters %+v, want one iterative solve and no dense", s)
 	}
 }

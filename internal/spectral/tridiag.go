@@ -8,9 +8,10 @@
 //   - Householder reduction of a symmetric matrix to tridiagonal form
 //     (tridiag.go),
 //   - the implicit-shift QL iteration on the tridiagonal matrix (ql.go),
-//   - a cyclic Jacobi solver used to cross-validate the QL path (jacobi.go),
-//   - Lanczos / deflated power iteration for extremal eigenvalues of large
-//     sparse Laplacians (iterative.go),
+//   - implicit Lanczos for the extremal eigenvalues of large sparse
+//     Laplacians and diffusion operators (lanczos.go, iterative.go), with a
+//     CG-based inverse-power fallback for tiny spectral gaps
+//     (inversepower.go),
 //
 // together with graph-facing conveniences: Lambda2, DiffusionMatrix, Gamma
 // (spectral.go).
